@@ -21,37 +21,48 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.kmeans import grow_partition, max_dist_to_centroid
+from repro.core.predictor import ridge_solve
 
 
 def ar_features(
-    raw_hist: np.ndarray, k: int, *, ridge: float = 1e-10
+    windows: np.ndarray,
+    k: int,
+    *,
+    lengths: np.ndarray | None = None,
+    ridge: float = 1e-10,
 ) -> np.ndarray:
-    """Lag-k AR parameters a_i of one trajectory's recent raw history.
+    """Lag-k AR parameters a_i of trajectories' recent raw histories (Eq. 8).
 
-    ``raw_hist`` is (w, 2), oldest first, w >= k+1. Fits
-    p[s] ~= sum_j a_j p[s-j] by least squares over both axes. Returns
-    zeros when the history is too short (cold start -- such trajectories
-    land in a common "unknown autocorrelation" region of feature space).
+    ``windows`` is a stack (n, W, 2) of right-aligned histories, oldest
+    first: row i holds its ``lengths[i]`` points (default W) in
+    ``windows[i, W - lengths[i]:]``. Each row fits p[s] ~= sum_j a_j p[s-j]
+    by least squares over both axes and over its own valid lags only; all
+    rows are solved at once by :func:`~repro.core.predictor.ridge_solve`.
+    A row with fewer than k+1 points gets zeros (cold start -- such
+    trajectories land in a common "unknown autocorrelation" region of
+    feature space). A single (w, 2) history returns one (k,) vector.
     """
-    w = len(raw_hist)
-    if w < k + 1:
-        return np.zeros(k)
-    rows = []
-    ys = []
-    for s in range(k, w):
-        # lag matrix row: [p[s-1], ..., p[s-k]] per axis
-        lags = raw_hist[s - k : s][::-1]  # (k, 2), lag-1 first
-        rows.append(lags[:, 0])
-        ys.append(raw_hist[s, 0])
-        rows.append(lags[:, 1])
-        ys.append(raw_hist[s, 1])
-    a = np.asarray(rows)
-    b = np.asarray(ys)
-    ata = a.T @ a + ridge * np.eye(k) * max(1.0, np.abs(a).max() ** 2)
-    try:
-        return np.linalg.solve(ata, a.T @ b)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(a, b, rcond=None)[0]
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim == 2:
+        return ar_features(windows.reshape(1, -1, 2), k, ridge=ridge)[0]
+    n, w, _ = windows.shape
+    lengths = np.full(n, w) if lengths is None else np.asarray(lengths)
+    out = np.zeros((n, k))
+    fit = np.flatnonzero(lengths >= k + 1)
+    if not len(fit):
+        return out
+    win = windows[fit]
+    # lags[:, s-k, j] = p[s-1-j] for every target s in [k, W); a target
+    # is valid when its oldest lag p[s-k] is one of the row's points.
+    lags = np.stack([win[:, k - j - 1 : w - j - 1] for j in range(k)], axis=2)
+    valid = np.arange(w - k)[None, :] >= (w - lengths[fit])[:, None]
+    # design matrix rows ordered (s, axis), invalid rows zeroed
+    a = np.where(valid[:, :, None, None], lags, 0.0).transpose(0, 1, 3, 2)
+    a = a.reshape(len(fit), -1, k)
+    b = np.where(valid[:, :, None], win[:, k:], 0.0).reshape(len(fit), -1)
+    at = a.transpose(0, 2, 1)
+    out[fit] = ridge_solve(a, b, at @ a, (at @ b[:, :, None])[:, :, 0], ridge=ridge)
+    return out
 
 
 @dataclass

@@ -33,7 +33,7 @@ from repro import DEG_TO_M
 from repro.core.cqc import CQCCoder
 from repro.core.epq import EPQEngine
 from repro.core.partitioning import IncrementalPartitioner, UpdateStats, ar_features
-from repro.core.predictor import DEFAULT_K, History
+from repro.core.predictor import DEFAULT_K, History, occurrence_rounds
 
 CODED_COLUMNS = [
     "traj_id", "t", "x", "y", "pid", "code", "xhat", "yhat", "xrec", "yrec", "cqc",
@@ -177,8 +177,17 @@ def run_ppq(
     engines: dict[int, EPQEngine] = {}
     retired_engines: dict[int, EPQEngine] = {}  # per_t/fixed history keeper
     code_remap: dict[int, tuple[int, int]] = {}  # src pid -> (dst pid, offset)
-    raw_hist: dict[int, list[np.ndarray]] = {}
-    ar_ema_state: dict[int, np.ndarray] = {}
+    if mode == "A":
+        # PPQ-A state, one slot per trajectory: the last ar_window raw
+        # points (right-aligned, oldest first), how many of them are
+        # filled, and the EMA-smoothed AR features. The EMA may start at
+        # zero: at a trajectory's first point its window is empty, so its
+        # AR fit is the zero vector anyway.
+        traj_ids = np.unique(pts_sorted.traj_id.to_numpy())
+        n_traj = len(traj_ids)
+        raw_win = np.zeros((n_traj, ar_window, 2))
+        raw_len = np.zeros(n_traj, dtype=np.int64)
+        ar_ema_state = np.zeros((n_traj, k))
     part_stats: list[UpdateStats] = []
 
     out_rows: list[pd.DataFrame] = []
@@ -195,15 +204,14 @@ def run_ppq(
             # AR parameters of a trajectory are a slowly varying property,
             # and smoothing keeps estimation noise from churning the
             # partitions (splits immediately undone by merges).
+            slots = np.searchsorted(traj_ids, ids)
+            a = ar_features(raw_win[slots], k, lengths=raw_len[slots])
             feats = np.empty((len(ids), k))
-            for row, i in enumerate(ids):
-                a = ar_features(
-                    np.asarray(raw_hist.get(int(i), [])).reshape(-1, 2), k
-                )
-                prev = ar_ema_state.get(int(i))
-                sm = a if prev is None else (1 - ar_ema) * prev + ar_ema * a
-                ar_ema_state[int(i)] = sm
-                feats[row] = sm
+            for rows in occurrence_rounds(slots):
+                s = slots[rows]
+                sm = (1 - ar_ema) * ar_ema_state[s] + ar_ema * a[rows]
+                ar_ema_state[s] = sm
+                feats[rows] = sm
         else:
             feats = None
 
@@ -282,12 +290,12 @@ def run_ppq(
             )
         )
 
-        if mode == "A":
-            for i, p in zip(ids, xy):
-                h = raw_hist.setdefault(int(i), [])
-                h.append(p)
-                if len(h) > ar_window:
-                    del h[0]
+        if mode == "A" and ar_window:
+            for rows in occurrence_rounds(slots):
+                s = slots[rows]
+                raw_win[s, :-1] = raw_win[s, 1:]
+                raw_win[s, -1] = xy[rows]
+                raw_len[s] = np.minimum(raw_len[s] + 1, ar_window)
 
     coded = pd.concat(out_rows, ignore_index=True)
     if code_remap:

@@ -358,17 +358,3 @@ def _rq_eps_fit(xy: np.ndarray, eps_deg: float, seed: int):
 def _pq_eps_fit(xy: np.ndarray, eps_deg: float, seed: int):
     r = product_quantize(xy, eps=eps_deg, seed=seed)
     return r.recon, r.n_codewords, r.code_bits_per_point
-
-
-def _batch_baseline(points: pd.DataFrame, fit):
-    """Whole-dataset batch quantization (Tables 5/6 RQ/PQ mode)."""
-    start = time.perf_counter()
-    srt = points.sort_values(["t", "traj_id"], kind="mergesort")
-    xy = srt[["x", "y"]].to_numpy(dtype=np.float64)
-    r = fit(xy)
-    secs = time.perf_counter() - start
-    recon = srt[["traj_id", "t", "x", "y"]].copy()
-    recon["xrec"] = r.recon[:, 0]
-    recon["yrec"] = r.recon[:, 1]
-    bits = r.n_codewords * 2 * 32 + r.code_bits_per_point * len(xy)
-    return recon.reset_index(drop=True), r.n_codewords, secs, bits

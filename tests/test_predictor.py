@@ -1,6 +1,8 @@
 """Tests for the AR(k) predictor (paper Eq. 1-2)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.predictor import History, fit_coeffs, predict
 
@@ -104,3 +106,71 @@ class TestHistory:
         h.push(np.array([1]), np.array([[1.0, 1.0]]))
         mask = h.warm_ids(np.array([1, 2]))
         assert mask.tolist() == [True, False]
+
+
+class _DictHistory:
+    """Reference: one (k, 2) buffer per id in a dict, pushed row by row."""
+
+    def __init__(self, k):
+        self.k = k
+        self.buf: dict[int, np.ndarray] = {}
+        self.count: dict[int, int] = {}
+
+    def push(self, ids, recon):
+        for i, p in zip(ids, recon):
+            buf = self.buf.setdefault(int(i), np.zeros((self.k, 2)))
+            buf[1:] = buf[:-1].copy()
+            buf[0] = p
+            self.count[int(i)] = self.count.get(int(i), 0) + 1
+
+    def warm_ids(self, ids):
+        return np.array([self.count.get(int(i), 0) >= self.k for i in ids], dtype=bool)
+
+    def last(self, i):
+        return self.buf[int(i)][0] if self.count.get(int(i), 0) else None
+
+
+class TestHistoryDense:
+    """The slot-indexed History against the dict reference, over ids that
+    appear, vanish and return, are far apart, and arrive unsorted."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([1, 2, 3]),
+        steps=st.integers(1, 25),
+    )
+    def test_matches_dict_reference(self, seed, k, steps):
+        g = np.random.default_rng(seed)
+        universe = g.choice(10**9, size=40, replace=False) - 5 * 10**8
+        h, ref = History(k), _DictHistory(k)
+        for _ in range(steps):
+            ids = g.permutation(universe[g.random(len(universe)) < 0.4])
+            probe = g.permutation(universe)
+            warm = h.warm_ids(probe)
+            assert np.array_equal(warm, ref.warm_ids(probe))
+            if warm.any():
+                want = np.stack([ref.buf[int(i)] for i in probe[warm]])
+                assert np.array_equal(h.matrix(probe[warm]), want)
+            for i in probe:
+                assert h.count(int(i)) == ref.count.get(int(i), 0)
+                got, exp = h.last(int(i)), ref.last(i)
+                assert (got is None and exp is None) or np.array_equal(got, exp)
+            recon = g.normal(size=(len(ids), 2))
+            h.push(ids, recon)
+            ref.push(ids, recon)
+
+    def test_repeated_id_in_one_push_is_sequential(self):
+        h, ref = History(2), _DictHistory(2)
+        ids = np.array([5, 9, 5, 5, 9])
+        recon = np.arange(10.0).reshape(5, 2)
+        h.push(ids, recon)
+        ref.push(ids, recon)
+        assert h.count(5) == 3 and h.count(9) == 2
+        assert np.array_equal(h.matrix(np.array([5, 9])), np.stack([ref.buf[5], ref.buf[9]]))
+
+    def test_unknown_ids_cold(self):
+        h = History(2)
+        h.push(np.array([3]), np.ones((1, 2)))
+        assert not h.warm_ids(np.array([-1, 2, 4, 10**12])).any()
+        assert h.count(4) == 0 and h.last(-1) is None
