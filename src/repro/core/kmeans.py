@@ -42,11 +42,33 @@ def kmeans(
         if np.array_equal(new_labels, labels) and _ > 0:
             break
         labels = new_labels
-        for j in range(k):
-            m = labels == j
-            if m.any():
-                centroids[j] = pts[m].mean(axis=0)
+        _set_means(centroids, pts, labels)
     return labels, centroids
+
+
+def _set_means(centroids: np.ndarray, pts: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Set row ``j`` of ``centroids`` to the mean of the points labelled
+    ``j``, for every ``j`` with members; return the member counts.
+
+    Each mean is bit-identical to ``pts[labels == j].mean(axis=0)``. With
+    two or more columns NumPy sums the mask's rows in order, as
+    ``bincount`` does. With one column it sums the values pairwise, which
+    ``bincount`` (and ``add.reduceat``) do not reproduce, so each cluster's
+    run of values is summed on its own.
+    """
+    k, d = centroids.shape
+    counts = np.bincount(labels, minlength=k)
+    if d == 1:
+        vals = pts[np.argsort(labels, kind="stable"), 0]
+        ends = np.cumsum(counts).tolist()
+        sums = np.array([[vals[e - c : e].sum()] for c, e in zip(counts.tolist(), ends)])
+    else:
+        sums = np.column_stack(
+            [np.bincount(labels, weights=pts[:, c], minlength=k) for c in range(d)]
+        )
+    filled = counts > 0
+    centroids[filled] = sums[filled] / counts[filled, None]
+    return counts
 
 
 def _split_two(pts: np.ndarray, seed: int) -> np.ndarray:
@@ -80,46 +102,37 @@ def grow_partition(
         pts = pts[:, None]
     n = len(pts)
     labels = np.zeros(n, dtype=np.int64)
+    if n == 0:
+        return labels, np.zeros((0, pts.shape[1])), 0
     rounds = 0
     while True:
-        centroids = _centroids_of(pts, labels)
-        viol = _violating_clusters(pts, labels, centroids, eps)
-        if not viol:
+        k = int(labels.max()) + 1
+        centroids = np.zeros((k, pts.shape[1]))
+        counts = _set_means(centroids, pts, labels)
+        viol = _violating_clusters(pts, labels, centroids, counts, eps)
+        if not len(viol):
             return labels, centroids, rounds
         rounds += 1
-        next_label = int(labels.max()) + 1
-        for j in viol:
-            m = labels == j
-            if m.sum() <= 1:
-                continue
-            sub = _split_two(pts[m], seed + rounds + j)
-            idx = np.flatnonzero(m)
+        next_label = k
+        # members of every cluster in index order, as np.flatnonzero(labels == j)
+        order = np.argsort(labels, kind="stable")
+        ends = np.cumsum(counts)
+        for j in viol.tolist():
+            idx = order[ends[j] - counts[j] : ends[j]]
+            sub = _split_two(pts[idx], seed + rounds + j)
             labels[idx[sub == 1]] = next_label
             next_label += 1
 
 
-def _centroids_of(pts: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    k = int(labels.max()) + 1
-    centroids = np.zeros((k, pts.shape[1]))
-    for j in range(k):
-        m = labels == j
-        if m.any():
-            centroids[j] = pts[m].mean(axis=0)
-    return centroids
-
-
 def _violating_clusters(
-    pts: np.ndarray, labels: np.ndarray, centroids: np.ndarray, eps: float
-) -> list[int]:
-    out = []
-    for j in range(len(centroids)):
-        m = labels == j
-        if not m.any():
-            continue
-        d = np.sqrt(((pts[m] - centroids[j]) ** 2).sum(axis=1))
-        if d.max() > eps and m.sum() > 1:
-            out.append(j)
-    return out
+    pts: np.ndarray, labels: np.ndarray, centroids: np.ndarray, counts: np.ndarray, eps: float
+) -> np.ndarray:
+    """Clusters of two or more points with a point farther than ``eps``
+    from the centroid, ascending."""
+    d = np.sqrt(((pts - centroids[labels]) ** 2).sum(axis=1))
+    far = np.full(len(centroids), -np.inf)
+    np.maximum.at(far, labels, d)
+    return np.flatnonzero((far > eps) & (counts > 1))
 
 
 def max_dist_to_centroid(pts: np.ndarray, centroid: np.ndarray) -> float:

@@ -62,25 +62,59 @@ class EncodedIds:
         return self.encoded_bits + len(self.lengths) * (32 + 6)
 
 
-def encode_ids(ids: np.ndarray) -> EncodedIds:
-    """Delta + Huffman encode a list of trajectory IDs."""
-    ids = np.sort(np.asarray(ids, dtype=np.int64))
-    if len(ids) == 0:
+def encode_ids(ids: np.ndarray | list[int]) -> EncodedIds:
+    """Delta + Huffman encode a list of trajectory IDs (any order).
+
+    Plain Python, no NumPy call: the batched :func:`encode_id_lists` sends
+    each list it has no closed form for through here.
+    """
+    ids = sorted(map(int, ids))
+    if not ids:
         return EncodedIds(data=b"", n_ids=0, lengths={}, encoded_bits=0)
-    deltas = np.diff(ids, prepend=np.int64(0))
-    freqs = Counter(int(d) for d in deltas)
-    lengths = _huffman_lengths(dict(freqs))
+    deltas = [ids[0]] + [b - a for a, b in zip(ids, ids[1:])]
+    lengths = _huffman_lengths(dict(Counter(deltas)))
     codes = _canonical_codes(lengths)
     acc = 0
     nbits = 0
     for d in deltas:
-        c, ln = codes[int(d)]
+        c, ln = codes[d]
         acc = (acc << ln) | c
         nbits += ln
     pad = (-nbits) % 8
     acc <<= pad
     data = acc.to_bytes((nbits + pad) // 8, "big") if nbits else b""
     return EncodedIds(data=data, n_ids=len(ids), lengths=lengths, encoded_bits=nbits)
+
+
+def encode_id_lists(ids: np.ndarray, starts: np.ndarray) -> list[EncodedIds]:
+    """Encode many ID lists at once; same result as :func:`encode_ids` on each.
+
+    ``ids`` holds the lists back to back, each sorted ascending, and list
+    ``g`` starts at ``starts[g]`` (``starts`` ascending, first entry 0).
+    A list whose deltas are all one symbol ``d`` -- every singleton, and
+    runs such as ``d, 2d, 3d`` -- has the one-symbol Huffman code: length
+    1, code ``0``, so ``n`` zero bits padded to whole bytes. Those lists
+    are built from that closed form; the others go through
+    :func:`encode_ids`.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    sizes = np.diff(starts, append=len(ids))
+    nonempty = sizes > 0
+    first = np.zeros(len(starts), dtype=np.int64)
+    first[nonempty] = ids[starts[nonempty]]
+    deltas = np.diff(ids, prepend=np.int64(0))
+    deltas[starts[nonempty]] = first[nonempty]
+    group = np.repeat(np.arange(len(starts)), sizes)
+    mixed = np.bincount(group[deltas != first[group]], minlength=len(starts)) > 0
+    flat = ids.tolist()
+    out = []
+    for s, n, d, m in zip(starts.tolist(), sizes.tolist(), first.tolist(), mixed.tolist()):
+        if m or not n:
+            out.append(encode_ids(flat[s : s + n]))
+        else:
+            out.append(EncodedIds(data=bytes((n + 7) // 8), n_ids=n, lengths={d: 1}, encoded_bits=n))
+    return out
 
 
 def decode_ids(enc: EncodedIds) -> np.ndarray:

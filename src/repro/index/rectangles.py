@@ -58,14 +58,17 @@ class Rect:
 
 def mbr(pts: np.ndarray, *, pad: float = 1e-12) -> Rect:
     """Minimum bounding rectangle of (n, 2) points (half-open safe: the
-    max edge is padded so boundary points stay inside)."""
+    max edge is padded so boundary points stay inside). Where ``pad`` is
+    below the coordinates' float spacing (|coordinate| above a few
+    thousand), the max edge is the next float up instead."""
     pts = np.atleast_2d(pts)
-    return Rect(
-        float(pts[:, 0].min()),
-        float(pts[:, 1].min()),
-        float(pts[:, 0].max()) + pad,
-        float(pts[:, 1].max()) + pad,
-    )
+    x1, y1 = (_above(float(pts[:, c].max()), pad) for c in (0, 1))
+    return Rect(float(pts[:, 0].min()), float(pts[:, 1].min()), x1, y1)
+
+
+def _above(v: float, pad: float) -> float:
+    """``v + pad``, or the next float above ``v`` when that rounds to ``v``."""
+    return v + pad if v + pad > v else float(np.nextafter(v, np.inf))
 
 
 def subtract_one(r: Rect, cut: Rect) -> list[Rect]:

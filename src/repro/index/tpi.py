@@ -69,28 +69,41 @@ class TPI:
 
     def push(self, t: int, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> str:
         """Index the points at time ``t``. Returns the action taken:
-        'initial', 're-build', 'insertion' or 'append'."""
+        'initial', 're-build', 'insertion' or 'append'; or 'empty' for a
+        timestep with no points, which leaves the index unchanged (no
+        period is opened, closed or extended).
+
+        Raises ``ValueError``, before changing the index, when the three
+        arrays differ in length or a coordinate is NaN or infinite.
+        """
         start = time.perf_counter()
         ids = np.asarray(ids, dtype=np.int64)
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
+        if not len(ids) == len(xs) == len(ys):
+            raise ValueError(
+                f"TPI.push at t={t}: {len(ids)} ids, {len(xs)} xs and {len(ys)} ys"
+            )
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError(f"TPI.push at t={t}: coordinates must be finite, got NaN or inf")
         try:
+            if not len(ids):
+                return "empty"
             if self.current is None:
                 self._open_period(t, ids, xs, ys)
                 return "initial"
             pi = self.current.pi
             ri = pi.rect_of(xs, ys)
             covered = ri >= 0
-            counts = np.zeros(len(pi.rects), dtype=np.int64)
-            np.add.at(counts, ri[covered], 1)
+            counts = np.bincount(ri[covered], minlength=len(pi.rects))
             d_now = counts / pi.rect_sizes()
             if adr(d_now, self._base_density, self.eps_c) > self.eps_d:
                 self.current.te = t - 1
                 self.n_rebuilds += 1
                 self._open_period(t, ids, xs, ys)
                 return "re-build"
-            pi.add_points(t, ids[covered], xs[covered], ys[covered])
-            if (~covered).any():
+            pi.add_points(t, ids, xs, ys, ri)
+            if not covered.all():
                 extra = build_pi(
                     t,
                     ids[~covered],
