@@ -2,12 +2,17 @@
 
 Dataflow:
 
-1. ``trajectory_features`` -- per-trajectory partition features via
-   ``groupBy(traj_id).applyInPandas`` (start position for PPQ-S, fitted
-   AR(k) parameters for PPQ-A);
-2. ``assign_partitions`` -- the small feature table is collected, split
-   driver-side with the paper's grow-until-eps_p routine, and the
-   ``traj_id -> pid`` map is joined back (broadcast-size);
+1. ``trajectory_features`` -- per-trajectory partition features. PPQ-S
+   takes the start position with a native ``groupBy(traj_id)`` min over
+   ``(t, x, y)``, with no Python worker. PPQ-A groups the points by a hash
+   bucket of ``traj_id`` (one bucket per default-parallelism slot) and
+   fits the AR(k) parameters of every trajectory in a bucket with one
+   batched ``ar_features`` solve over its first ``ar_window`` points;
+2. ``assign_partitions`` -- the small feature table is collected, sorted
+   by ``traj_id`` (so the split does not depend on shuffle order),
+   checked to be finite, split driver-side with the paper's
+   grow-until-eps_p routine, and the ``traj_id -> pid`` map is joined
+   back (broadcast-size);
 3. ``build_summary_spark`` -- ``groupBy(pid).applyInPandas`` runs the
    sequential E-PQ + CQC core once per partition on its executor. Coded
    points and codebook rows come back in one pass, discriminated by a
@@ -37,30 +42,44 @@ _WIDE_SCHEMA = "kind int, " + CODED_SCHEMA
 def trajectory_features(
     df: DataFrame, *, mode: str, k: int = 2, ar_window: int = 16
 ) -> DataFrame:
-    """Per-trajectory feature rows: (traj_id, f0, f1 [, ...fk-1])."""
+    """Per-trajectory feature rows: (traj_id, f0, f1 [, ...fk-1]).
+
+    A trajectory's points are taken in ``(t, x, y)`` order, so duplicate
+    ``(traj_id, t)`` rows give the same features whatever the row order.
+    """
     if mode == "S":
-
-        def feat(pdf: pd.DataFrame) -> pd.DataFrame:
-            first = pdf.sort_values("t").iloc[0]
-            return pd.DataFrame(
-                {"traj_id": [int(first.traj_id)], "f0": [first.x], "f1": [first.y]}
-            )
-
-        schema = "traj_id long, f0 double, f1 double"
-    elif mode == "A":
-
-        def feat(pdf: pd.DataFrame) -> pd.DataFrame:
-            pdf = pdf.sort_values("t").head(ar_window)
-            a = ar_features(pdf[["x", "y"]].to_numpy(), k)
-            row = {"traj_id": [int(pdf.traj_id.iloc[0])]}
-            for j in range(k):
-                row[f"f{j}"] = [float(a[j])]
-            return pd.DataFrame(row)
-
-        schema = "traj_id long, " + ", ".join(f"f{j} double" for j in range(k))
-    else:
+        first = df.groupBy("traj_id").agg(F.min(F.struct("t", "x", "y")).alias("p"))
+        return first.select("traj_id", F.col("p.x").alias("f0"), F.col("p.y").alias("f1"))
+    if mode != "A":
         raise ValueError(f"unknown mode {mode!r}")
-    return df.groupBy("traj_id").applyInPandas(feat, schema=schema)
+
+    def feat(pdf: pd.DataFrame) -> pd.DataFrame:
+        order = np.lexsort((pdf.y, pdf.x, pdf.t, pdf.traj_id))
+        tid = pdf.traj_id.to_numpy()[order]
+        xy = pdf[["x", "y"]].to_numpy()[order]
+        starts = np.flatnonzero(np.r_[True, tid[1:] != tid[:-1]])
+        counts = np.diff(np.r_[starts, len(tid)])
+        lengths = np.minimum(counts, ar_window)
+        # rank of each point in its trajectory; its first ar_window points
+        # fill the right end of the trajectory's window, oldest first
+        rank = np.arange(len(tid)) - np.repeat(starts, counts)
+        keep = rank < ar_window
+        row = np.repeat(np.arange(len(starts)), counts)[keep]
+        col = np.repeat(ar_window - lengths, counts)[keep] + rank[keep]
+        windows = np.zeros((len(starts), ar_window, 2))
+        windows[row, col] = xy[keep]
+        a = ar_features(windows, k, lengths=lengths)
+        out = pd.DataFrame(a, columns=[f"f{j}" for j in range(k)])
+        out.insert(0, "traj_id", tid[starts])
+        return out
+
+    schema = "traj_id long, " + ", ".join(f"f{j} double" for j in range(k))
+    n = df.sparkSession.sparkContext.defaultParallelism
+    return (
+        df.withColumn("bucket", F.pmod(F.xxhash64("traj_id"), F.lit(n)))
+        .groupBy("bucket")
+        .applyInPandas(feat, schema=schema)
+    )
 
 
 def assign_partitions(
@@ -72,10 +91,21 @@ def assign_partitions(
     k: int = 2,
     seed: int = 0,
 ) -> DataFrame:
-    """Add a ``pid`` column: static trajectory-level partition assignment."""
+    """Add a ``pid`` column: static trajectory-level partition assignment.
+
+    Raises ``ValueError`` naming the first trajectory (by id) whose
+    features are not finite, e.g. from a NaN start point.
+    """
     feats = trajectory_features(df, mode=mode, k=k).toPandas()
+    # grow_partition depends on row order; the rows arrive in shuffle order
+    feats = feats.sort_values("traj_id", ignore_index=True)
     fcols = [c for c in feats.columns if c.startswith("f")]
-    labels, _, _ = grow_partition(feats[fcols].to_numpy(), eps_p, seed=seed)
+    f = feats[fcols].to_numpy()
+    bad = ~np.isfinite(f).all(axis=1)
+    if bad.any():
+        tid = int(feats.traj_id[np.argmax(bad)])
+        raise ValueError(f"non-finite partition features for trajectory {tid}")
+    labels, _, _ = grow_partition(f, eps_p, seed=seed)
     mapping = spark.createDataFrame(
         pd.DataFrame({"traj_id": feats.traj_id, "pid": labels.astype(np.int64)}),
         schema="traj_id long, pid long",
@@ -99,7 +129,7 @@ def build_summary_spark(
     codebook rows (pid, code, cx=xhat, cy=yhat).
     """
 
-    def worker(key, pdf: pd.DataFrame) -> pd.DataFrame:
+    def worker(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
         pid = int(key[0])
         s = run_ppq(
             pdf[["traj_id", "t", "x", "y"]],
